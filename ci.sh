@@ -201,6 +201,23 @@ if [ "$QUICK" != "quick" ]; then
   grep -q "^backend: seqcst-fallback" "$NATIVE/fallback.txt"
 fi
 
+echo "== benchmark correctness (pinned digests, seed 2015) =="
+# The benchmark package (benchmark/) pins a digest of every cell's
+# simulated output for seed 2015 in benchmark/digests/; a run prints
+# "correct":true only when every digest and self-check matches. Run its
+# own tests, then each workload for one second, so any drift in the
+# simulator's output fails CI instead of waiting for a benchmark run.
+if [ "$QUICK" != "quick" ]; then
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  BENCH="$(mktemp -d)"
+  trap 'rm -rf "${SMOKE:-}" "${SYNTH:-}" "${EXH:-}" "${ANA:-}" "${NATIVE:-}" "${SWEEP:-}" "${BENCH:-}"' EXIT
+  for workload in stm cilk fence-tools; do
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+      --workload "$workload" --seed 2015 --seconds 1 > "$BENCH/$workload.txt"
+    grep -q '"correct":true' "$BENCH/$workload.txt"
+  done
+fi
+
 echo "== explorer smoke sweep =="
 # Known-bad must be caught (exit 1 from the sweep is the expected result)...
 if cargo run -q --release --offline -p asymfence-explore --bin explore -- \

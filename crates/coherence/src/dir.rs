@@ -19,11 +19,12 @@
 //!   Order) write: the update is merged into memory here, Bypass-Set
 //!   holders stay sharers, and the requester receives the line Shared.
 
-use asymfence_common::hash::{FxBuildHasher, FxHashMap};
+use asymfence_common::hash::FxHashMap;
 
 use asymfence_common::ids::{BankId, LineAddr};
 
 use crate::msg::{LineData, Msg, OrderMode, WordUpdate};
+use crate::slab::SetSlab;
 
 /// An outgoing message produced by a bank, to be injected into the mesh.
 #[derive(Clone, Debug)]
@@ -77,20 +78,36 @@ impl Txn {
     }
 }
 
-/// Tag-only set-associative L2 bank used for latency classification.
+/// Tag-only set-associative L2 bank used for latency classification,
+/// stored in the same flat slab as the L1 cache with no line words: a
+/// tag is the bank-local line plus one (0 marks an invalid way), and
+/// replacement is true LRU.
+///
+/// # Examples
+///
+/// ```
+/// use asymfence_coherence::dir::L2Tags;
+///
+/// let mut l2 = L2Tags::new(1, 1);
+/// assert!(!l2.touch(5), "cold miss");
+/// assert!(l2.touch(5));
+/// assert!(!l2.touch(6), "evicts line 5");
+/// assert!(!l2.touch(5));
+/// ```
 #[derive(Clone, Debug)]
-struct L2Tags {
-    sets: Vec<Vec<(u64, u64)>>, // (line raw, lru)
-    ways: usize,
-    clock: u64,
+pub struct L2Tags {
+    slab: SetSlab,
 }
 
 impl L2Tags {
-    fn new(sets: usize, ways: usize) -> Self {
+    /// An empty bank of `sets × ways` tags.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` or `ways` is zero.
+    pub fn new(sets: usize, ways: usize) -> Self {
         L2Tags {
-            sets: vec![Vec::new(); sets],
-            ways,
-            clock: 0,
+            slab: SetSlab::new(sets, ways, 0),
         }
     }
 
@@ -98,25 +115,19 @@ impl L2Tags {
     /// `bank_local` must be the line address with the bank-interleaving
     /// bits stripped (`line / num_banks`), so consecutive lines homed at
     /// this bank spread across all sets.
-    fn touch(&mut self, bank_local: u64) -> bool {
-        self.clock += 1;
-        let idx = (bank_local % self.sets.len() as u64) as usize;
-        let set = &mut self.sets[idx];
-        if let Some(e) = set.iter_mut().find(|e| e.0 == bank_local) {
-            e.1 = self.clock;
-            return true;
-        }
-        if set.len() >= self.ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            set.swap_remove(victim);
-        }
-        set.push((bank_local, self.clock));
-        false
+    pub fn touch(&mut self, bank_local: u64) -> bool {
+        let now = self.slab.tick();
+        let tag = bank_local + 1;
+        let hit = self.slab.find(bank_local, |t| t == tag);
+        let slot = hit.unwrap_or_else(|| self.slab.victim(bank_local));
+        self.slab.set_tag(slot, tag);
+        self.slab.stamp(slot, now);
+        hit.is_some()
+    }
+
+    /// Empties the bank, keeping its capacity.
+    pub fn reset(&mut self) {
+        self.slab.reset();
     }
 }
 
@@ -179,15 +190,14 @@ impl DirBank {
             l2_hit_cycles,
             mem_cycles,
             interleave_lines,
-            // `lines` and `image` track the bank's share of the touched
-            // working set; pre-sizing them past the typical footprint
-            // keeps growth rehashes out of the simulation loop.
-            lines: FxHashMap::with_capacity_and_hasher(256, FxBuildHasher::default()),
-            busy: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
-            waiting: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
-            image: FxHashMap::with_capacity_and_hasher(256, FxBuildHasher::default()),
+            // Maps start empty: a fresh bank costs no allocation, and a
+            // pooled bank keeps the capacity its runs grew across `reset`.
+            lines: FxHashMap::default(),
+            busy: FxHashMap::default(),
+            waiting: FxHashMap::default(),
+            image: FxHashMap::default(),
             l2: L2Tags::new(l2_sets, l2_ways),
-            grt: FxHashMap::with_capacity_and_hasher(16, FxBuildHasher::default()),
+            grt: FxHashMap::default(),
             counters: BankCounters {
                 orders: vec![0; num_cores],
                 co_failures: vec![0; num_cores],
@@ -241,10 +251,7 @@ impl DirBank {
         self.busy.clear();
         self.waiting.clear();
         self.image.clear();
-        for set in &mut self.l2.sets {
-            set.clear();
-        }
-        self.l2.clock = 0;
+        self.l2.reset();
         self.grt.clear();
         self.counters.orders.fill(0);
         self.counters.co_failures.fill(0);

@@ -3,6 +3,7 @@
 use asymfence_common::ids::LineAddr;
 
 use crate::msg::LineData;
+use crate::slab::{SetSlab, Slot};
 
 /// MESI stable states of an L1 line (`I` is represented by absence).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,16 +23,63 @@ impl L1State {
     }
 }
 
-/// One resident line.
-#[derive(Clone, Debug)]
-pub struct L1Line {
+/// Bits of a packed tag holding the MESI state (0 marks an invalid way).
+const STATE_BITS: u32 = 2;
+
+fn pack(line: LineAddr, state: L1State) -> u64 {
+    debug_assert!(
+        line.raw() >> (64 - STATE_BITS) == 0,
+        "line address too wide"
+    );
+    let code = match state {
+        L1State::S => 1,
+        L1State::E => 2,
+        L1State::M => 3,
+    };
+    (line.raw() << STATE_BITS) | code
+}
+
+fn tag_line(tag: u64) -> LineAddr {
+    LineAddr::from_raw(tag >> STATE_BITS)
+}
+
+fn tag_state(tag: u64) -> L1State {
+    match tag & ((1 << STATE_BITS) - 1) {
+        1 => L1State::S,
+        2 => L1State::E,
+        _ => L1State::M,
+    }
+}
+
+/// A resident line, read through [`L1Cache::peek`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct L1Line<'a> {
     /// Line address.
     pub line: LineAddr,
     /// Coherence state.
     pub state: L1State,
     /// Word values.
-    pub data: LineData,
-    lru: u64,
+    pub data: &'a [u64],
+}
+
+/// A resident line, borrowed for update through [`L1Cache::lookup`].
+#[derive(Debug)]
+pub struct L1LineMut<'a> {
+    tag: &'a mut u64,
+    /// Word values.
+    pub data: &'a mut [u64],
+}
+
+impl L1LineMut<'_> {
+    /// Coherence state.
+    pub fn state(&self) -> L1State {
+        tag_state(*self.tag)
+    }
+
+    /// Changes the coherence state in place.
+    pub fn set_state(&mut self, state: L1State) {
+        *self.tag = pack(tag_line(*self.tag), state);
+    }
 }
 
 /// What an insertion displaced.
@@ -44,6 +92,13 @@ pub struct Evicted {
 }
 
 /// A set-associative, true-LRU L1 cache.
+///
+/// Lines live in one flat slab: a per-set index, then a block of tags,
+/// LRU stamps and line words for each set a run has touched. A way's
+/// tag packs the line address with its MESI state (0 = invalid). A
+/// fresh cache is one small allocation whatever its geometry, and
+/// [`L1Cache::reset`] clears only the set index. Victims are the
+/// minimum-stamp way, so eviction is true LRU.
 ///
 /// # Examples
 ///
@@ -59,9 +114,7 @@ pub struct Evicted {
 /// ```
 #[derive(Clone, Debug)]
 pub struct L1Cache {
-    sets: Vec<Vec<L1Line>>,
-    ways: usize,
-    clock: u64,
+    slab: SetSlab,
 }
 
 impl L1Cache {
@@ -73,111 +126,100 @@ impl L1Cache {
     pub fn new(sets: usize, ways: usize, words_per_line: usize) -> Self {
         assert!(sets > 0 && ways > 0 && words_per_line > 0);
         L1Cache {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
-            ways,
-            clock: 0,
+            slab: SetSlab::new(sets, ways, words_per_line),
         }
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() % self.sets.len() as u64) as usize
+    fn find(&self, line: LineAddr) -> Option<Slot> {
+        self.slab.find(line.raw(), |t| tag_line(t) == line)
     }
 
     /// Finds a resident line and refreshes its LRU position.
-    pub fn lookup(&mut self, line: LineAddr) -> Option<&mut L1Line> {
-        self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(line);
-        let entry = self.sets[idx].iter_mut().find(|l| l.line == line)?;
-        entry.lru = clock;
-        Some(entry)
+    pub fn lookup(&mut self, line: LineAddr) -> Option<L1LineMut<'_>> {
+        let now = self.slab.tick();
+        let slot = self.find(line)?;
+        self.slab.stamp(slot, now);
+        let (tag, data) = self.slab.entry_mut(slot);
+        Some(L1LineMut { tag, data })
     }
 
     /// Finds a resident line without touching LRU state.
-    pub fn peek(&self, line: LineAddr) -> Option<&L1Line> {
-        let idx = self.set_index(line);
-        self.sets[idx].iter().find(|l| l.line == line)
+    pub fn peek(&self, line: LineAddr) -> Option<L1Line<'_>> {
+        let slot = self.find(line)?;
+        Some(L1Line {
+            line,
+            state: tag_state(self.slab.tag(slot)),
+            data: self.slab.payload(slot),
+        })
     }
 
     /// Inserts (or replaces) a line, returning any displaced victim.
     ///
     /// # Panics
     ///
-    /// Panics if `data` length differs from other lines' word counts.
+    /// Panics if `data` length differs from the cache's words per line.
     pub fn insert(&mut self, line: LineAddr, state: L1State, data: LineData) -> Option<Evicted> {
-        self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        if let Some(existing) = set.iter_mut().find(|l| l.line == line) {
-            existing.state = state;
-            existing.data = data;
-            existing.lru = clock;
-            return None;
-        }
+        let now = self.slab.tick();
         let mut evicted = None;
-        if set.len() >= self.ways {
-            let victim_pos = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("nonempty set");
-            let victim = set.swap_remove(victim_pos);
-            evicted = Some(Evicted {
-                line: victim.line,
-                dirty: (victim.state == L1State::M).then_some(victim.data),
-            });
-        }
-        set.push(L1Line {
-            line,
-            state,
-            data,
-            lru: clock,
-        });
+        let slot = match self.find(line) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.slab.victim(line.raw());
+                let tag = self.slab.tag(slot);
+                if tag != 0 {
+                    evicted = Some(Evicted {
+                        line: tag_line(tag),
+                        dirty: self.dirty_data(slot),
+                    });
+                }
+                slot
+            }
+        };
+        self.slab.stamp(slot, now);
+        let (tag, words) = self.slab.entry_mut(slot);
+        *tag = pack(line, state);
+        words.copy_from_slice(&data);
         evicted
+    }
+
+    /// The slot's data if it holds a Modified line.
+    fn dirty_data(&self, slot: Slot) -> Option<LineData> {
+        (tag_state(self.slab.tag(slot)) == L1State::M)
+            .then(|| LineData::from_words(self.slab.payload(slot)))
     }
 
     /// Removes a line, returning dirty data if it was Modified.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineData> {
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        let pos = set.iter().position(|l| l.line == line)?;
-        let victim = set.swap_remove(pos);
-        (victim.state == L1State::M).then_some(victim.data)
+        let slot = self.find(line)?;
+        let dirty = self.dirty_data(slot);
+        self.slab.set_tag(slot, 0);
+        dirty
     }
 
     /// Downgrades an owner line to Shared, returning dirty data if it was
     /// Modified. Returns `None` if the line is absent.
     pub fn downgrade(&mut self, line: LineAddr) -> Option<Option<LineData>> {
-        let idx = self.set_index(line);
-        let entry = self.sets[idx].iter_mut().find(|l| l.line == line)?;
-        let dirty = (entry.state == L1State::M).then_some(entry.data);
-        entry.state = L1State::S;
+        let slot = self.find(line)?;
+        let dirty = self.dirty_data(slot);
+        self.slab.set_tag(slot, pack(line, L1State::S));
         Some(dirty)
     }
 
     /// Number of resident lines (for tests/stats).
     pub fn resident(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.slab.resident()
     }
 
-    /// Approximate bytes of heap capacity retained across resets (for
-    /// pool telemetry).
+    /// Bytes of heap capacity retained across resets (for pool
+    /// telemetry).
     pub fn retained_bytes(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.capacity() * std::mem::size_of::<L1Line>())
-            .sum()
+        self.slab.capacity_bytes()
     }
 
-    /// Empties the cache for machine reuse, keeping every set's
-    /// allocation so a warmed pool runs allocation-free.
+    /// Empties the cache for machine reuse, keeping the slab's capacity
+    /// so a warmed pool runs allocation-free.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.clock = 0;
+        self.slab.reset();
     }
 }
 
@@ -222,7 +264,7 @@ mod tests {
         assert!(l1.insert(la(1), L1State::M, ld(&[2])).is_none());
         let line = l1.peek(la(1)).unwrap();
         assert_eq!(line.state, L1State::M);
-        assert_eq!(line.data, ld(&[2]));
+        assert_eq!(line.data, &[2]);
         assert_eq!(l1.resident(), 1);
     }
 

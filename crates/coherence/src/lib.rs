@@ -39,6 +39,7 @@ pub mod dir;
 pub mod l1;
 pub mod mem;
 pub mod msg;
+mod slab;
 
 pub use bypass::{BsEntry, BsMatch, BypassSet};
 pub use mem::{MemCounters, MemEvent, MemSystem, Token};

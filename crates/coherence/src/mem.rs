@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use asymfence_common::config::MachineConfig;
-use asymfence_common::hash::{FxBuildHasher, FxHashMap};
+use asymfence_common::hash::FxHashMap;
 use asymfence_common::ids::{Addr, BankId, CoreId, Cycle, LineAddr};
 use asymfence_common::schedule::{ChoiceKind, ChoicePoint, ScheduleOracle, ScheduleRecording};
 use asymfence_common::stats::TrafficStats;
@@ -218,10 +218,11 @@ impl MemSystem {
             .map(|_| CorePort {
                 l1: L1Cache::new(cfg.l1_sets(), cfg.l1_ways, cfg.words_per_line()),
                 bs: BypassSet::new(cfg.bs_entries),
-                // Pre-size past any realistic in-flight count so the
-                // tables never rehash mid-run.
-                mshrs: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
-                pending_stores: FxHashMap::with_capacity_and_hasher(64, FxBuildHasher::default()),
+                // Empty until first use, so building a port allocates
+                // nothing for them; a pooled port keeps the capacity its
+                // runs grew across `reset`.
+                mshrs: FxHashMap::default(),
+                pending_stores: FxHashMap::default(),
                 order_mode: OrderMode::None,
                 wee: None,
                 events: VecDeque::new(),
@@ -306,7 +307,7 @@ impl MemSystem {
     }
 
     /// Approximate bytes of heap capacity retained across resets (for
-    /// pool telemetry): L1 set arrays and bypass-set entry arrays, the
+    /// pool telemetry): L1 slabs and bypass-set entry arrays, the
     /// dominant per-port retained structures.
     pub fn retained_bytes(&self) -> usize {
         self.ports
@@ -558,10 +559,10 @@ impl MemSystem {
         kind: StoreKind,
     ) -> bool {
         let port = &mut self.ports[c];
-        let Some(l) = port.l1.lookup(line) else {
+        let Some(mut l) = port.l1.lookup(line) else {
             return false;
         };
-        if !l.state.writable() {
+        if !l.state().writable() {
             return false;
         }
         let old = l.data[word as usize];
@@ -579,7 +580,7 @@ impl MemSystem {
             },
         };
         if wrote {
-            l.state = L1State::M;
+            l.set_state(L1State::M);
         }
         port.counters.l1_hits += 1;
         let rmw_old = matches!(kind, StoreKind::Rmw(_)).then_some(old);

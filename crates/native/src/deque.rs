@@ -51,6 +51,12 @@ pub struct TheDeque<P: FencePair> {
 impl<P: FencePair> TheDeque<P> {
     /// An empty deque with room for `capacity` outstanding tasks.
     ///
+    /// The ring gets one slot more than `capacity`: a thief publishes
+    /// `head + 1` before it reads `slot(head)`, so a ring the owner could
+    /// fill completely would let `push` overwrite that slot while the
+    /// steal is still reading it. The lock admits one steal at a time,
+    /// so one spare slot is enough.
+    ///
     /// # Panics
     ///
     /// Panics when `capacity` is 0.
@@ -60,7 +66,7 @@ impl<P: FencePair> TheDeque<P> {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             lock: Mutex::new(()),
-            slots: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
+            slots: (0..=capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
             pair,
         }
     }
@@ -82,8 +88,10 @@ impl<P: FencePair> TheDeque<P> {
         let h = self.head.load(Ordering::Relaxed);
         // A thief's optimistic head increment can transiently pass the
         // tail; treat that (None) as full too — it only costs a retry.
+        // Keep the spare slot free (see `new`): `h` may already count a
+        // steal still reading `slot(h - 1)`.
         match t.checked_sub(h) {
-            Some(live) if live < self.slots.len() as u64 => {}
+            Some(live) if live + 1 < self.slots.len() as u64 => {}
             _ => return false,
         }
         self.slot(t).store(task, Ordering::Relaxed);
@@ -186,25 +194,29 @@ mod tests {
         assert!(q.push(3));
     }
 
+    /// The thief side of the stress tests: steals until the owner is
+    /// done, then drains the deque, returning the sum of its tasks.
+    fn thief<P: FencePair>(q: &TheDeque<P>, done: &AtomicBool) -> u64 {
+        let mut sum = 0u64;
+        while !done.load(Ordering::Acquire) {
+            match q.steal() {
+                Some(v) => sum += v,
+                None => std::thread::yield_now(),
+            }
+        }
+        while let Some(v) = q.steal() {
+            sum += v;
+        }
+        sum
+    }
+
     /// Two-thread stress: every pushed task is taken or stolen exactly
     /// once. Catches lost/duplicated tasks across the fence window.
     fn stress<P: FencePair>(pair: P, tasks: u64) {
         let q = TheDeque::new(64, pair);
         let done = AtomicBool::new(false);
         let (owner_sum, thief_sum) = std::thread::scope(|s| {
-            let thief = s.spawn(|| {
-                let mut sum = 0u64;
-                while !done.load(Ordering::Acquire) {
-                    match q.steal() {
-                        Some(v) => sum += v,
-                        None => std::thread::yield_now(),
-                    }
-                }
-                while let Some(v) = q.steal() {
-                    sum += v;
-                }
-                sum
-            });
+            let thief = s.spawn(|| thief(&q, &done));
             let mut sum = 0u64;
             let mut next = 1u64;
             while next <= tasks {
@@ -236,5 +248,52 @@ mod tests {
         stress(AllHeavy, 2_000);
         stress(Asymmetric, 2_000);
         stress(HwSeqCst, 2_000);
+    }
+
+    /// Full-ring stress: the owner keeps a tiny ring full and retries
+    /// `push` while the thief steals, so pushes land in the window where
+    /// a steal has published `head + 1` but not yet read `slot(head)`.
+    /// Without the spare slot the owner overwrites that slot and the
+    /// task is handed out twice.
+    fn full_ring<P: FencePair>(pair: P, capacity: usize, tasks: u64) {
+        let q = TheDeque::new(capacity, pair);
+        let done = AtomicBool::new(false);
+        let (owner_sum, thief_sum) = std::thread::scope(|s| {
+            let thief = s.spawn(|| thief(&q, &done));
+            let mut sum = 0u64;
+            for task in 1..=tasks {
+                let mut retries = 0u32;
+                while !q.push(task) {
+                    retries += 1;
+                    // Bounded wait for a steal, then make room ourselves
+                    // (the thief may not be scheduled on a 1-CPU host).
+                    if retries.is_multiple_of(256) {
+                        sum += q.take().unwrap_or(0);
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+            }
+            while let Some(v) = q.take() {
+                sum += v;
+            }
+            done.store(true, Ordering::Release);
+            (sum, thief.join().unwrap())
+        });
+        assert_eq!(
+            owner_sum + thief_sum,
+            tasks * (tasks + 1) / 2,
+            "{} capacity {capacity}: tasks lost or duplicated",
+            pair.name()
+        );
+    }
+
+    #[test]
+    fn stress_full_ring() {
+        for capacity in [2, 4] {
+            full_ring(AllHeavy, capacity, 20_000);
+            full_ring(Asymmetric, capacity, 20_000);
+            full_ring(HwSeqCst, capacity, 20_000);
+        }
     }
 }

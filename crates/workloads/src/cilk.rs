@@ -233,6 +233,7 @@ pub struct CilkWorker {
     ops: Ops,
     state: WState,
     local_tail: u64,
+    head_seen: u64,
     known_empty: bool,
     /// Tasks this worker executed.
     pub executed: u64,
@@ -265,6 +266,7 @@ impl CilkWorker {
             ops: Ops::new(),
             state: WState::Init,
             local_tail: 0,
+            head_seen: 0,
             known_empty: false,
             executed: 0,
             stolen: 0,
@@ -299,7 +301,13 @@ impl CilkWorker {
             let deque = self.my_deque().clone();
             for i in 0..p.fanout as u64 {
                 let child = task_descr(depth + 1, hash64(uid ^ (i + 1)));
-                self.local_tail = push(&deque, self.local_tail, child, &mut self.ops);
+                self.local_tail = push(
+                    &deque,
+                    self.local_tail,
+                    self.head_seen,
+                    child,
+                    &mut self.ops,
+                );
             }
             self.known_empty = false;
         }
@@ -316,7 +324,8 @@ impl CilkWorker {
                 for i in 0..self.profile.roots_per_worker {
                     let uid = hash64(((self.tid as u64) << 32) ^ i ^ 0xC11C);
                     let root = task_descr(0, uid);
-                    self.local_tail = push(&deque, self.local_tail, root, &mut self.ops);
+                    self.local_tail =
+                        push(&deque, self.local_tail, self.head_seen, root, &mut self.ops);
                 }
                 self.state = WState::Loop;
                 true
@@ -333,7 +342,9 @@ impl CilkWorker {
                 true
             }
             WState::Taking(mut take) => {
-                match take.poll(&mut self.ops) {
+                let outcome = take.poll(&mut self.ops);
+                self.head_seen = self.head_seen.max(take.head_seen());
+                match outcome {
                     None => self.state = WState::Taking(take),
                     Some(TakeOutcome::Got { task, new_tail }) => {
                         self.local_tail = new_tail;

@@ -70,7 +70,25 @@ impl DequeLayout {
 
 /// Owner push: write the task, then bump the tail (no fence under TSO —
 /// stores are not reordered with stores).
-pub fn push(deque: &DequeLayout, local_tail: u64, task: u64, ops: &mut Ops) -> u64 {
+///
+/// `head_seen` is the newest head the owner has loaded ([`Take::head_seen`],
+/// 0 before its first take). The push itself loads nothing, so the ring
+/// has no simulated full check; instead the host asserts one. The head
+/// only grows, except that a thief's optimistic increment (at most one
+/// in flight, under the lock) may be undone, so at most
+/// `local_tail + 1 - head_seen` tasks are live. Keeping that below the
+/// capacity leaves a spare slot for a steal still reading `slot(head)`,
+/// the same rule as the native deque's `push`.
+///
+/// # Panics
+///
+/// Panics if the ring could be full.
+pub fn push(deque: &DequeLayout, local_tail: u64, head_seen: u64, task: u64, ops: &mut Ops) -> u64 {
+    assert!(
+        (local_tail + 1).saturating_sub(head_seen) < deque.capacity,
+        "THE deque ring full: tail {local_tail}, head seen {head_seen}, capacity {}",
+        deque.capacity
+    );
     ops.store(deque.slot(local_tail), task);
     ops.store(deque.tail, local_tail + 1);
     local_tail + 1
@@ -107,6 +125,7 @@ enum TakeSt {
 pub struct Take {
     deque: DequeLayout,
     t: u64,
+    head_seen: u64,
     state: TakeSt,
 }
 
@@ -128,8 +147,15 @@ impl Take {
         Take {
             deque: deque.clone(),
             t,
+            head_seen: 0,
             state: TakeSt::WaitHead { head },
         }
+    }
+
+    /// The last head value this take loaded (0 before its first load):
+    /// host-side bookkeeping for [`push`]'s full-ring assertion.
+    pub fn head_seen(&self) -> u64 {
+        self.head_seen
     }
 
     /// Advances the machine; call when `ops.is_drained()`. Returns the
@@ -138,6 +164,7 @@ impl Take {
         match self.state.clone() {
             TakeSt::WaitHead { head } => {
                 let h = ops.take(head);
+                self.head_seen = h;
                 if h <= self.t {
                     let slot = ops.load(self.deque.slot(self.t));
                     self.state = TakeSt::WaitSlot { slot };
@@ -173,6 +200,7 @@ impl Take {
             }
             TakeSt::WaitHeadLocked { head } => {
                 let h = ops.take(head);
+                self.head_seen = h;
                 if h <= self.t {
                     let slot = ops.load(self.deque.slot(self.t));
                     self.state = TakeSt::WaitSlotLocked { slot };
@@ -325,6 +353,7 @@ pub struct WsqDriver {
     deque: DequeLayout,
     rounds: u64,
     local_tail: u64,
+    head_seen: u64,
     next_task: u64,
     rng: asymfence_common::rng::SimRng,
     ops: Ops,
@@ -343,7 +372,13 @@ impl WsqDriver {
                 self.rounds -= 1;
                 if self.tid == 0 {
                     self.next_task += 1;
-                    self.local_tail = push(&self.deque, self.local_tail, self.next_task, &mut self.ops);
+                    self.local_tail = push(
+                        &self.deque,
+                        self.local_tail,
+                        self.head_seen,
+                        self.next_task,
+                        &mut self.ops,
+                    );
                     self.ops.compute(8 + self.rng.below(16));
                     let take =
                         Take::start_at(&self.deque, self.local_tail, &mut self.ops, owner_site());
@@ -356,7 +391,9 @@ impl WsqDriver {
                 true
             }
             DriverSt::Taking(mut take) => {
-                match take.poll(&mut self.ops) {
+                let outcome = take.poll(&mut self.ops);
+                self.head_seen = self.head_seen.max(take.head_seen());
+                match outcome {
                     None => self.state = DriverSt::Taking(take),
                     Some(TakeOutcome::Got { new_tail, .. }) => {
                         self.got += 1;
@@ -429,6 +466,7 @@ pub fn driver_programs(
                 deque: layout.clone(),
                 rounds,
                 local_tail: 0,
+                head_seen: 0,
                 next_task: 0,
                 rng: root.fork(tid as u64),
                 ops: Ops::new(),
@@ -461,11 +499,28 @@ mod tests {
     fn push_emits_slot_then_tail() {
         let d = layout();
         let mut ops = Ops::new();
-        let nt = push(&d, 3, 77, &mut ops);
+        let nt = push(&d, 3, 0, 77, &mut ops);
         assert_eq!(nt, 4);
         let is = collect_until_wait(&mut ops);
         assert!(matches!(is[0], Instr::Store { value: 77, .. }));
         assert!(matches!(is[1], Instr::Store { addr, value: 4 } if addr == d.tail));
+    }
+
+    #[test]
+    fn push_keeps_a_spare_slot() {
+        let d = layout();
+        let mut ops = Ops::new();
+        // Capacity 8: with no head seen, tail 6 is the last push that
+        // leaves a slot for an in-flight steal; a seen head frees room.
+        assert_eq!(push(&d, 6, 0, 1, &mut ops), 7);
+        assert_eq!(push(&d, 12, 6, 1, &mut ops), 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "THE deque ring full")]
+    fn push_asserts_on_a_full_ring() {
+        let d = layout();
+        push(&d, 7, 0, 1, &mut Ops::new());
     }
 
     #[test]

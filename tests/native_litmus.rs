@@ -24,14 +24,22 @@ fn iters() -> u64 {
         .unwrap_or(4_000)
 }
 
+/// The host a failure happened on: its CPU count and the probed fence
+/// backend. The races these tests sample open wider with more CPUs, and
+/// the asymmetric pair is only sound with the backend's heavy side.
+fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!("{cpus} available CPUs, backend {}", backend().label())
+}
+
 fn sb_clean<P: FencePair>(pair: P) {
     let r = sb_hammer(pair, iters());
     assert_eq!(
         r.violations,
         0,
-        "SB both-read-0 observed under {} on backend {}",
+        "SB both-read-0 observed under {} ({})",
         pair.name(),
-        backend().label()
+        host()
     );
     assert_eq!(r.ops, iters());
 }
@@ -41,9 +49,9 @@ fn mp_clean<P: FencePair>(pair: P) {
     assert_eq!(
         r.violations,
         0,
-        "MP stale data observed under {} on backend {}",
+        "MP stale data observed under {} ({})",
         pair.name(),
-        backend().label()
+        host()
     );
 }
 
@@ -85,7 +93,12 @@ fn mp_all_heavy_never_violates() {
 #[test]
 fn dekker_asymmetric_mutual_exclusion() {
     let r = dekker(Asymmetric, iters());
-    assert_eq!(r.violations, 0, "on backend {}", backend().label());
+    assert_eq!(
+        r.violations,
+        0,
+        "dekker mutual exclusion violated ({})",
+        host()
+    );
     assert_eq!(r.ops, 2 * iters());
 }
 
@@ -131,7 +144,12 @@ fn deque_conserves_tasks_asymmetric() {
         done.store(true, Ordering::Release);
         (sum, thief.join().unwrap())
     });
-    assert_eq!(owner_sum + thief_sum, tasks * (tasks + 1) / 2);
+    assert_eq!(
+        owner_sum + thief_sum,
+        tasks * (tasks + 1) / 2,
+        "deque lost or duplicated tasks ({})",
+        host()
+    );
 }
 
 /// Builds a native [`asymfence_native::C11Pair`] by running the whole
@@ -190,9 +208,9 @@ fn peterson_analyzer_lowered_c11_mutual_exclusion() {
     assert_eq!(
         r.violations,
         0,
-        "analyzer-lowered Peterson violated mutual exclusion under {:?} on backend {}",
+        "analyzer-lowered Peterson violated mutual exclusion under {:?} ({})",
         pair,
-        backend().label()
+        host()
     );
     assert_eq!(r.ops, 2 * iters());
 }
@@ -209,9 +227,9 @@ fn sb_analyzer_lowered_c11_never_violates() {
     assert_eq!(
         r.violations,
         0,
-        "analyzer-lowered SB observed both-read-0 under {:?} on backend {}",
+        "analyzer-lowered SB observed both-read-0 under {:?} ({})",
         pair,
-        backend().label()
+        host()
     );
 }
 
@@ -234,5 +252,10 @@ fn tlrw_counter_exact_asymmetric() {
             });
         }
     });
-    assert_eq!(stm.peek(0), 2 * per_thread);
+    assert_eq!(
+        stm.peek(0),
+        2 * per_thread,
+        "TLRW lost an increment ({})",
+        host()
+    );
 }
