@@ -24,6 +24,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== kernel exactness (event-driven kernel == lock-step reference, 2000 cases) =="
+# Machine::run skips ticks, retires compute bursts in bulk and jumps
+# over idle stretches; the differential replays random programs on a
+# reference loop that ticks every core every cycle and must agree on
+# outcome, merged stats and registers. The tier-1 run above covers 256
+# cases; this stage widens the search in release mode.
+ASF_PROP_CASES=2000 cargo test --release --offline -q --test kernel_lockstep
+
 echo "== parallel harness smoke (jobs=2 == jobs=1, byte-for-byte) =="
 # The run engine must produce identical stdout, CSVs, and telemetry
 # snapshots at any worker count; run the full quick grid serially and
@@ -57,12 +65,13 @@ if [ "$QUICK" != "quick" ]; then
   echo "== throughput floor (quick grid, serial, >= 1.2M sim-cycles/s) =="
   # Absolute kernel-speed gate: re-run the quick grid with real timing
   # (no deterministic masking) and require the event-driven kernel to
-  # sustain the floor. With --metrics the grid runs fence-traced, which
-  # costs ~25%: the post-refactor kernel measures ~1.7M cycles/s traced
-  # on the reference container, the pre-refactor lock-step kernel ~1.0M.
+  # sustain the floor. With --metrics the grid runs fence-traced. On a
+  # 2-vCPU Xeon the kernel measures 1.77-1.78M cycles/s traced
+  # (1.60-1.66M before compute bursts retired in bulk); the lock-step
+  # kernel measured ~1.0M on the container where the floor was set.
   # 1.2M sits between the two, so a regression to per-cycle ticking or a
-  # hot-path allocation creep trips it while machine noise does not.
-  # Raise the floor when the kernel gets faster.
+  # hot-path allocation creep trips it. The floor is absolute, so it
+  # also measures the host; a host-relative gate is the planned fix.
   mkdir -p "$SMOKE/floor"
   ( cd "$SMOKE/floor" && \
     ASF_QUICK=1 ASF_JOBS=1 ASF_PROGRESS=0 \

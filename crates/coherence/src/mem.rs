@@ -144,7 +144,6 @@ struct CorePort {
     pending_stores: FxHashMap<LineAddr, PendingStore>,
     order_mode: OrderMode,
     wee: Option<WeePending>,
-    events: VecDeque<MemEvent>,
     counters: MemCounters,
 }
 
@@ -172,6 +171,11 @@ impl Ord for LocalEvSlot {
 pub struct MemSystem {
     cfg: Arc<MachineConfig>,
     ports: Vec<CorePort>,
+    /// Per-core queues of undelivered [`MemEvent`]s, indexed by core.
+    /// Kept out of [`CorePort`] so the machine's per-step "does this
+    /// core have events?" test reads one dense array instead of every
+    /// port's large struct.
+    events: Vec<VecDeque<MemEvent>>,
     banks: Vec<DirBank>,
     net: Network<Msg>,
     local: BinaryHeap<Reverse<(Cycle, u64, usize, LocalEvSlot)>>,
@@ -225,7 +229,6 @@ impl MemSystem {
                 pending_stores: FxHashMap::default(),
                 order_mode: OrderMode::None,
                 wee: None,
-                events: VecDeque::new(),
                 counters: MemCounters::default(),
             })
             .collect();
@@ -245,9 +248,11 @@ impl MemSystem {
             .collect();
         let trace = cfg.record_trace.then(|| TraceSink::new(cfg.fence_design));
         let oracle = cfg.schedule.build_oracle(cfg.perturb);
+        let events = (0..cfg.num_cores).map(|_| VecDeque::new()).collect();
         MemSystem {
             cfg,
             ports,
+            events,
             banks,
             net,
             local: BinaryHeap::new(),
@@ -275,8 +280,10 @@ impl MemSystem {
             p.pending_stores.clear();
             p.order_mode = OrderMode::None;
             p.wee = None;
-            p.events.clear();
             p.counters = MemCounters::default();
+        }
+        for q in &mut self.events {
+            q.clear();
         }
         for b in &mut self.banks {
             b.reset();
@@ -303,7 +310,7 @@ impl MemSystem {
 
     /// Whether `core` has undelivered completion/notification events.
     pub fn port_has_events(&self, core: CoreId) -> bool {
-        !self.ports[core.0].events.is_empty()
+        !self.events[core.0].is_empty()
     }
 
     /// Approximate bytes of heap capacity retained across resets (for
@@ -732,7 +739,7 @@ impl MemSystem {
 
     /// Pops the next event for `core`, if any.
     pub fn pop_event(&mut self, core: CoreId) -> Option<MemEvent> {
-        self.ports[core.0].events.pop_front()
+        self.events[core.0].pop_front()
     }
 
     /// Per-core memory counters.
@@ -865,9 +872,7 @@ impl MemSystem {
                     .peek(line)
                     .map(|l| l.data[word as usize]);
                 match value {
-                    Some(v) => self.ports[core]
-                        .events
-                        .push_back(MemEvent::LoadDone { token, value: v }),
+                    Some(v) => self.events[core].push_back(MemEvent::LoadDone { token, value: v }),
                     None => {
                         self.ports[core].counters.l1_misses += 1;
                         self.start_load_miss(now, core, token, line, word);
@@ -879,7 +884,7 @@ impl MemSystem {
                     Some(old) => MemEvent::RmwDone { token, old },
                     None => MemEvent::StoreDone { token },
                 };
-                self.ports[core].events.push_back(ev);
+                self.events[core].push_back(ev);
             }
             LocalEv::RetryStore { line } => {
                 if self.ports[core].pending_stores.contains_key(&line) {
@@ -989,9 +994,7 @@ impl MemSystem {
     ) {
         let evicted = self.ports[core].l1.insert(line, state, data);
         if let Some(ev) = evicted {
-            self.ports[core]
-                .events
-                .push_back(MemEvent::InvSeen { line: ev.line });
+            self.events[core].push_back(MemEvent::InvSeen { line: ev.line });
             if let Some(dirty) = ev.dirty {
                 // Paper §5.1: a dirty eviction whose address is in the BS
                 // asks the directory to keep this node as sharer.
@@ -1022,9 +1025,7 @@ impl MemSystem {
                     .peek(line)
                     .map(|l| l.data[word as usize])
                     .unwrap_or(0);
-                self.ports[core]
-                    .events
-                    .push_back(MemEvent::LoadDone { token, value });
+                self.events[core].push_back(MemEvent::LoadDone { token, value });
             }
         }
         // A store deferred behind this fill can now proceed.
@@ -1057,9 +1058,7 @@ impl MemSystem {
                         .peek(line)
                         .map(|l| l.data[w as usize])
                         .unwrap_or(0);
-                    self.ports[core]
-                        .events
-                        .push_back(MemEvent::LoadDone { token: t, value: v });
+                    self.events[core].push_back(MemEvent::LoadDone { token: t, value: v });
                 }
             } else {
                 self.send_store_request(now, core, line);
@@ -1124,7 +1123,7 @@ impl MemSystem {
                 old,
             },
         };
-        self.ports[core].events.push_back(done_ev);
+        self.events[core].push_back(done_ev);
         let waiting = std::mem::take(&mut ps.waiting_loads);
         for (token, word) in waiting {
             let value = self.ports[core]
@@ -1132,9 +1131,7 @@ impl MemSystem {
                 .peek(line)
                 .map(|l| l.data[word as usize])
                 .unwrap_or(0);
-            self.ports[core]
-                .events
-                .push_back(MemEvent::LoadDone { token, value });
+            self.events[core].push_back(MemEvent::LoadDone { token, value });
         }
     }
 
@@ -1165,7 +1162,7 @@ impl MemSystem {
         let mut remote = wee.collected;
         remote.sort_unstable();
         remote.dedup();
-        self.ports[core].events.push_back(MemEvent::WeeArmed {
+        self.events[core].push_back(MemEvent::WeeArmed {
             fence_serial: wee.fence_serial,
             remote_ps: remote,
         });
@@ -1193,9 +1190,7 @@ impl MemSystem {
             );
             token
         };
-        self.ports[core]
-            .events
-            .push_back(MemEvent::StoreBounced { token });
+        self.events[core].push_back(MemEvent::StoreBounced { token });
         self.schedule(
             now + self.cfg.bounce_retry_cycles,
             core,
@@ -1259,9 +1254,7 @@ impl MemSystem {
         let present = self.ports[core].l1.peek(line).is_some();
         let dirty = self.ports[core].l1.invalidate(line);
         if present {
-            self.ports[core]
-                .events
-                .push_back(MemEvent::InvSeen { line });
+            self.events[core].push_back(MemEvent::InvSeen { line });
         }
         let true_share = order == OrderMode::CondOrder && m.word_match;
         self.send(

@@ -97,8 +97,8 @@ impl CoreStats {
     }
 
     /// Records `n` consecutive retirement cycles of the same
-    /// classification — the bulk path the event-driven kernel uses when
-    /// it skips over a provably inactive stretch.
+    /// classification — the bulk path the event-driven kernel uses for
+    /// the cycles it skips (idle stalls or compute-burst retirement).
     pub fn record_cycles(&mut self, kind: StallKind, n: u64) {
         match kind {
             StallKind::Busy => self.busy_cycles += n,

@@ -10,11 +10,16 @@
 //! The kernel is event-driven: executed cycles run the exact lock-step
 //! `step`, but between steps [`Machine::run`] consults every component's
 //! next-interesting-cycle hint and jumps `now` straight to the earliest
-//! one (`Machine::skip_ahead`), bulk-accounting the skipped stall
-//! cycles. Within a step, cores whose hint says "nothing to do" and
-//! whose event queue is empty skip their tick entirely. Both skips are
-//! exact — a skipped tick is a provable no-op — so schedules, traces,
-//! statistics and oracle draws stay bit-identical to lock-step ticking.
+//! one (`Machine::skip_ahead`). Within a step, cores whose hint says
+//! "nothing but a compute burst to do" and whose event queue is empty
+//! skip their tick entirely. Both skips are exact — a skipped tick is
+//! a no-op or pure compute-burst retirement, accounted in bulk by
+//! `Core::account_skipped` — so schedules, traces, statistics and
+//! oracle draws stay bit-identical to lock-step ticking. The watchdog
+//! counts a step as progress when an executed tick moved its core's
+//! progress marker or a skipped core is mid-burst; since the markers
+//! are monotone and only ticks move them, that is exactly when the
+//! lock-step sum of all markers would have changed.
 
 use std::sync::Arc;
 
@@ -85,19 +90,23 @@ pub struct Machine {
     now: Cycle,
     scv_log: Option<ScvLog>,
     last_progress_cycle: Cycle,
-    last_progress_value: u64,
     deadlocked: bool,
-    /// Per-core cached scheduling hint: the earliest cycle at which
-    /// ticking core `i` could change anything, assuming no memory event
-    /// arrives first (struct-of-arrays — the skip test touches only
-    /// this flat array, not the cores). Refreshed after every executed
-    /// tick; a core's architectural state is frozen between its own
-    /// ticks, so the cached value stays exact until then.
+    /// Per-core cached scheduling hint (`Core::next_interesting`): the
+    /// earliest cycle at which ticking core `i` could do more than
+    /// retire a compute burst, assuming no memory event arrives first
+    /// (struct-of-arrays — the skip test touches only these flat
+    /// arrays, not the cores). Refreshed after every executed tick; a
+    /// core's architectural state is frozen between its own ticks, so
+    /// the cached value stays exact until then.
     wake: Vec<Cycle>,
+    /// Per-core cached "ROB head is a compute burst" flag, refreshed
+    /// with `wake`: a skipped tick of such a core retires work, which
+    /// the watchdog counts as progress.
+    burst: Vec<bool>,
     /// Per-core count of cycles skipped since the core's last executed
-    /// tick. Flushed into the core's stall statistics right before the
-    /// next tick (the stall classification is frozen while skippable,
-    /// so the deferred bulk record is exact).
+    /// tick. Flushed into the core (`Core::account_skipped`) right
+    /// before its next tick; every skipped cycle of a core does the same
+    /// thing, so the deferred bulk record is exact.
     skipped: Vec<u64>,
 }
 
@@ -135,9 +144,9 @@ impl Machine {
             now: 0,
             scv_log,
             last_progress_cycle: 0,
-            last_progress_value: 0,
             deadlocked: false,
             wake: vec![0; num_cores],
+            burst: vec![false; num_cores],
             skipped: vec![0; num_cores],
         }
     }
@@ -169,9 +178,9 @@ impl Machine {
         self.now = 0;
         self.scv_log = cfg.record_scv_log.then(ScvLog::new);
         self.last_progress_cycle = 0;
-        self.last_progress_value = 0;
         self.deadlocked = false;
         self.wake.fill(0);
+        self.burst.fill(false);
         self.skipped.fill(0);
         true
     }
@@ -238,31 +247,34 @@ impl Machine {
     /// Advances one cycle.
     ///
     /// Cores whose cached wake hint proves their tick would be a no-op
-    /// (nothing to retire, issue, fetch or account, and no pending
-    /// memory event) skip the tick; every other core runs the exact
-    /// lock-step tick and refreshes its hint. Events can only appear in
-    /// a core's queue during `MemSystem::tick`, so a skip decision
-    /// taken here cannot be invalidated mid-step.
+    /// or pure compute-burst retirement (and that have no pending memory
+    /// event) skip the tick; every other core runs the exact lock-step
+    /// tick and refreshes its hint. Events can only appear in a core's
+    /// queue during `MemSystem::tick`, so a skip decision taken here
+    /// cannot be invalidated mid-step.
     pub fn step(&mut self) {
         let now = self.now;
+        let mut progressed = false;
         for (i, core) in self.cores.iter_mut().enumerate() {
             if self.wake[i] > now && !self.mem.port_has_events(CoreId(i)) {
                 self.skipped[i] += 1;
+                progressed |= self.burst[i];
             } else {
                 if self.skipped[i] > 0 {
                     core.account_skipped(self.skipped[i]);
                     self.skipped[i] = 0;
                 }
+                let marker = core.progress_marker();
                 core.tick(now, &mut self.mem, self.scv_log.as_mut());
+                progressed |= core.progress_marker() != marker;
                 self.wake[i] = core.next_interesting(now + 1);
+                self.burst[i] = core.in_compute_burst();
             }
         }
         self.mem.tick(now);
         self.now += 1;
 
-        let progress: u64 = self.cores.iter().map(|c| c.progress_marker()).sum();
-        if progress != self.last_progress_value {
-            self.last_progress_value = progress;
+        if progressed {
             self.last_progress_cycle = now;
         } else if !self.is_finished() && now - self.last_progress_cycle > self.cfg.watchdog_cycles
         {
@@ -274,17 +286,19 @@ impl Machine {
     /// earliest memory-system wakeup, the earliest cached core wake
     /// hint, the watchdog's firing step, or `limit`, whichever comes
     /// first. Skipped cycles are deferred into the per-core skip
-    /// counters (the stall classification is frozen while a core is
-    /// skippable). Exact: every skipped cycle is a no-op for every
-    /// component, so the machine reaches `next` in the same state
-    /// lock-step ticking would.
+    /// counters. Exact: every skipped cycle is a no-op or pure
+    /// compute-burst retirement for every component, so the machine
+    /// reaches `next` in the same state lock-step ticking would.
     fn skip_ahead(&mut self, limit: Cycle) {
         if self.deadlocked || self.is_finished() {
             return;
         }
         // The watchdog declares deadlock in the step where
         // `now - last_progress_cycle` first exceeds the horizon; that
-        // step must execute, so never jump past it.
+        // step must execute, so never jump past it. Bursts retired inside
+        // the jump do not move `last_progress_cycle`, so the deadline is
+        // conservative: a burst that outlives it is still bursting at
+        // the deadline step, which therefore counts as progress.
         let deadline = self
             .last_progress_cycle
             .saturating_add(self.cfg.watchdog_cycles)

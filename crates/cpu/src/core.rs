@@ -283,12 +283,16 @@ impl Core {
     }
 
     /// Statistics with `pending` not-yet-flushed skipped cycles folded
-    /// in, classified by the core's current (frozen) stall kind. The
-    /// machine defers skip accounting to a per-core counter; this folds
-    /// that counter at harvest time without mutating the core.
+    /// in (see [`Core::account_skipped`]). The machine defers skip
+    /// accounting to a per-core counter; this folds that counter at
+    /// harvest time — exactly, even mid-burst at a cycle limit — without
+    /// mutating the core.
     pub fn stats_with_skips(&self, pending: u64) -> CoreStats {
         let mut s = self.stats;
-        if pending > 0 {
+        if self.in_compute_burst() {
+            s.instrs_retired += pending * self.cfg.issue_width as u64;
+            s.record_cycles(StallKind::Busy, pending);
+        } else {
             s.record_cycles(self.idle_kind(), pending);
         }
         s
@@ -1220,13 +1224,16 @@ impl Core {
     // ------------------------------------------------------------------
 
     /// The earliest cycle at or after `now` at which ticking this core
-    /// could change anything — retire, issue, fetch, or complete a fence
-    /// — assuming no memory event is pending for it and none arrives in
-    /// the meantime. `Cycle::MAX` means "only a memory event can wake
-    /// this core". The hint is recomputed from live architectural state
-    /// on every query (nothing is cached), and it is exact: a tick at
-    /// any cycle strictly before the returned value, with an empty event
-    /// queue, is a no-op.
+    /// could do anything but retire a compute burst — issue, fetch,
+    /// complete a fence, or retire anything else — assuming no memory
+    /// event is pending for it and none arrives in the meantime.
+    /// `Cycle::MAX` means "only a memory event can wake this core". The
+    /// hint is recomputed from live architectural state on every query
+    /// (nothing is cached), and it is exact: a tick at any cycle
+    /// strictly before the returned value, with an empty event queue,
+    /// is either a no-op or, when the ROB head is `Compute`, pure
+    /// compute-burst retirement of `issue_width` units — both of which
+    /// [`Core::account_skipped`] accounts in bulk.
     pub fn next_interesting(&self, now: Cycle) -> Cycle {
         if self.is_done() {
             return Cycle::MAX;
@@ -1290,7 +1297,12 @@ impl Core {
                 }
             }
             Some(RobKind::Fence { .. }) => now,
-            Some(RobKind::Compute { .. }) => now,
+            // Each tick retires `issue_width` units until the one that
+            // retires the last (at most `issue_width`) units and pops the
+            // burst; every tick before that is pure burst retirement.
+            Some(RobKind::Compute { remaining }) => {
+                now + (remaining - 1) / self.cfg.issue_width as u64
+            }
         };
         head_wake.min(self.wb_wake(now))
     }
@@ -1333,16 +1345,34 @@ impl Core {
         wake
     }
 
-    /// Whether a tick at `now` with no pending memory events would be a
-    /// provable no-op for this core.
-    pub fn tick_is_noop(&self, now: Cycle) -> bool {
-        self.next_interesting(now) > now
+    /// Accounts `n` skipped cycles in one bulk record. A skipped core
+    /// either does nothing, recording its frozen stall classification,
+    /// or — with a `Compute` head — retires `issue_width` units of the
+    /// burst per cycle. [`Core::next_interesting`] never lets a skip
+    /// reach the burst's last tick, so the burst stays at the head.
+    pub fn account_skipped(&mut self, n: u64) {
+        self.stats = self.stats_with_skips(n);
+        let width = self.cfg.issue_width as u64;
+        if let Some(RobEntry {
+            kind: RobKind::Compute { remaining },
+            ..
+        }) = self.rob.front_mut()
+        {
+            assert!(n * width < *remaining, "skip past a burst's end");
+            *remaining -= n * width;
+        }
     }
 
-    /// Accounts `n` skipped no-op cycles in one bulk record (exact: the
-    /// stall classification is frozen while the core is skippable).
-    pub fn account_skipped(&mut self, n: u64) {
-        self.stats.record_cycles(self.idle_kind(), n);
+    /// Whether the ROB head is a compute burst, i.e. whether a skipped
+    /// tick of this core retires work (see [`Core::account_skipped`]).
+    pub fn in_compute_burst(&self) -> bool {
+        matches!(
+            self.rob.front(),
+            Some(RobEntry {
+                kind: RobKind::Compute { .. },
+                ..
+            })
+        )
     }
 }
 
